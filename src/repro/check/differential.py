@@ -91,11 +91,11 @@ def _inject_lost_writeback(runtime: GMTRuntime) -> str:
 
 
 def _inject_vector_desync(runtime: GMTRuntime) -> str:
-    """Corrupt the vector engine's SoA tier column for a Tier-1 resident
+    """Clear the vector engine's Tier-1 frame column for a Tier-1 resident
     page (the exact failure mode a buggy batch path would produce: the
-    dense arrays and the tier structures disagreeing about a page)."""
+    batch probe's residency test, ``t1_frame >= 0``, and the tier
+    structures disagreeing about a page)."""
     from repro.core.vector import VectorEngineMixin
-    from repro.mem.page import PageLocation
 
     if not isinstance(runtime, VectorEngineMixin):
         raise ConfigError(
@@ -108,8 +108,8 @@ def _inject_vector_desync(runtime: GMTRuntime) -> str:
             "vector-desync needs a Tier-1 resident page; use a trace "
             "that leaves Tier-1 populated"
         )
-    runtime._vstore.loc[page] = PageLocation.TIER2.value
-    return f"store.loc[{page}] rewritten to TIER2 while Tier-1 resident"
+    runtime._vstore.t1_frame[page] = -1
+    return f"store.t1_frame[{page}] cleared while Tier-1 resident"
 
 
 def _inject_ghost_leak(runtime: GMTRuntime) -> str:

@@ -30,6 +30,9 @@ class PlacementDecision(enum.Enum):
         return cls(reuse_class.value)
 
 
+_LONG = ReuseClass.LONG
+
+
 class Tier3BiasHeuristic:
     """Sliding window over recent predicted classes; fires when Tier-3
     predictions dominate.
@@ -53,11 +56,11 @@ class Tier3BiasHeuristic:
 
     def record(self, predicted: ReuseClass) -> None:
         """Note one eviction's predicted class."""
-        if len(self._recent) == self.window:
-            if self._recent[0]:
-                self._long_count -= 1
-        is_long = predicted is ReuseClass.LONG
-        self._recent.append(is_long)
+        recent = self._recent
+        if len(recent) == self.window and recent[0]:
+            self._long_count -= 1
+        is_long = predicted is _LONG
+        recent.append(is_long)
         if is_long:
             self._long_count += 1
 

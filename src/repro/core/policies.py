@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.config import GMTConfig
 from repro.core.placement import PlacementDecision, Tier3BiasHeuristic
@@ -33,7 +33,11 @@ from repro.reuse.vtd import VirtualTimestampClock
 
 @dataclass(frozen=True)
 class PlacementPlan:
-    """What :meth:`PlacementPolicy.choose` decided for one clock victim."""
+    """What :meth:`PlacementPolicy.choose` decided for one clock victim.
+
+    Plans are immutable, so a policy may hand out one shared instance per
+    distinct outcome instead of allocating one per eviction.
+    """
 
     decision: PlacementDecision
     #: The Markov prediction behind the decision (None when the policy does
@@ -43,6 +47,20 @@ class PlacementPlan:
     forced_tier2: bool = False
     #: True when no usable history existed and a default strategy decided.
     from_fallback: bool = False
+    #: Lower-case name of ``predicted_class`` (None = no prediction), as
+    #: the lifecycle events and eviction causes spell it; derived once.
+    predicted_name: str | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        name = None if self.predicted_class is None else self.predicted_class.name.lower()
+        object.__setattr__(self, "predicted_name", name)
+
+
+_SHORT = ReuseClass.SHORT
+_MEDIUM = ReuseClass.MEDIUM
+_LONG = ReuseClass.LONG
+_PLACE_TIER2 = PlacementPlan(decision=PlacementDecision.PLACE_TIER2)
+_BYPASS_TIER3 = PlacementPlan(decision=PlacementDecision.BYPASS_TIER3)
 
 
 class PlacementPolicy(abc.ABC):
@@ -110,7 +128,7 @@ class TierOrderPolicy(PlacementPolicy):
     tier2_evicts_on_full = True
 
     def choose(self, state: PageState) -> PlacementPlan:
-        return PlacementPlan(decision=PlacementDecision.PLACE_TIER2)
+        return _PLACE_TIER2
 
 
 class RandomPolicy(PlacementPolicy):
@@ -134,8 +152,8 @@ class RandomPolicy(PlacementPolicy):
 
     def choose(self, state: PageState) -> PlacementPlan:
         if self._rng.random() < self.tier2_probability:
-            return PlacementPlan(decision=PlacementDecision.PLACE_TIER2)
-        return PlacementPlan(decision=PlacementDecision.BYPASS_TIER3)
+            return _PLACE_TIER2
+        return _BYPASS_TIER3
 
 
 class ReusePolicy(PlacementPolicy):
@@ -162,6 +180,23 @@ class ReusePolicy(PlacementPolicy):
     # Keys into PageState.policy_state.
     _LAST_CORRECT = "last_correct"
     _PENDING = "pending_pred"
+
+    #: The only plans :meth:`choose` returns, one per outcome: the
+    #: cold-phase fallback, each predicted class's Eq. 1 placement
+    #: (indexed by ``ReuseClass`` value - 1), and the 80 % heuristic's
+    #: forced Tier-2 placement of a LONG prediction.
+    FALLBACK_PLAN = PlacementPlan(
+        decision=PlacementDecision.PLACE_TIER2, from_fallback=True
+    )
+    CLASS_PLANS = tuple(
+        PlacementPlan(decision=PlacementDecision.for_class(c), predicted_class=c)
+        for c in (_SHORT, _MEDIUM, _LONG)
+    )
+    FORCED_PLAN = PlacementPlan(
+        decision=PlacementDecision.PLACE_TIER2,
+        predicted_class=_LONG,
+        forced_tier2=True,
+    )
 
     def __init__(
         self,
@@ -205,21 +240,25 @@ class ReusePolicy(PlacementPolicy):
         """Resolve the page's previous eviction now that its actual
         remaining VTD is known (paper: "this can be found out when a page
         is brought into GPU memory")."""
-        if state.last_eviction_ts is None:
+        evicted_at = state.last_eviction_ts
+        if evicted_at is None:
             return  # cold fill; no prior eviction to resolve
-        rvtd = self._vts.remaining_vtd_since(state.last_eviction_ts)
+        rvtd = self._vts.remaining_vtd_since(evicted_at)
         state.last_eviction_ts = None
         rrd = self.sampler.predict_rrd(rvtd)
         if rrd is None:
             return  # no regression model yet; cannot resolve
         actual = self.classifier.classify(rrd)
-        last_correct = state.policy_state.get(self._LAST_CORRECT)
+        history = state.policy_state
+        last_correct = history.get(self._LAST_CORRECT)
         if last_correct is not None:
             self.predictor.record_transition(last_correct, actual)
-        state.policy_state[self._LAST_CORRECT] = actual
-        pending = state.policy_state.pop(self._PENDING, None)
+        history[self._LAST_CORRECT] = actual
+        pending = history.pop(self._PENDING, None)
         if pending is not None:
-            self.stats.record_prediction_outcome(pending.name, actual.name)
+            # ``_name_`` is the member's plain name slot; ``.name`` would
+            # go through the enum's property descriptor on every fill.
+            self.stats.record_prediction_outcome(pending._name_, actual._name_)
         if self.telemetry is not None:
             self.telemetry.instant(
                 "markov-resolve", "reuse", page=state.page, actual=actual.name
@@ -254,10 +293,8 @@ class ReusePolicy(PlacementPolicy):
             # pages that do return cheaply build the history the
             # predictor needs.
             self.stats.fallback_placements += 1
-            self.heuristic.record(ReuseClass.MEDIUM)
-            return PlacementPlan(
-                decision=PlacementDecision.PLACE_TIER2, from_fallback=True
-            )
+            self.heuristic.record(_MEDIUM)
+            return self.FALLBACK_PLAN
 
         self.stats.predictions_made += 1
         self.heuristic.record(predicted)
@@ -265,21 +302,16 @@ class ReusePolicy(PlacementPolicy):
             self.telemetry.markov_confidence.observe(
                 self.predictor.confidence(last_correct)
             )
-        decision = PlacementDecision.for_class(predicted)
         if (
-            self._heuristic_enabled
-            and decision is PlacementDecision.BYPASS_TIER3
+            predicted is _LONG
+            and self._heuristic_enabled
             and self.heuristic.should_force_tier2()
         ):
-            return PlacementPlan(
-                decision=PlacementDecision.PLACE_TIER2,
-                predicted_class=predicted,
-                forced_tier2=True,
-            )
-        return PlacementPlan(decision=decision, predicted_class=predicted)
+            return self.FORCED_PLAN
+        return self.CLASS_PLANS[predicted._value_ - 1]
 
     def on_evicted(self, state: PageState, plan: PlacementPlan) -> None:
-        super().on_evicted(state, plan)
+        state.eviction_count += 1  # the base hook's bookkeeping
         state.last_eviction_ts = self._vts.now
         if plan.predicted_class is not None:
             state.policy_state[self._PENDING] = plan.predicted_class

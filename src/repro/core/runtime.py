@@ -44,6 +44,15 @@ from repro.sim.nvme import NvmeSSD
 from repro.sim.pcie import PCIeLink
 from repro.sim.transfer import make_engine
 
+# Enum members bound once: loading ``PageLocation.TIER1`` through the enum
+# class costs several times a module-global load, and the miss path tests
+# these on every access.
+_TIER1 = PageLocation.TIER1
+_TIER2 = PageLocation.TIER2
+_TIER3 = PageLocation.TIER3
+_RETAIN = PlacementDecision.RETAIN_TIER1
+_PLACE_T2 = PlacementDecision.PLACE_TIER2
+
 
 @dataclass
 class RunResult:
@@ -176,6 +185,7 @@ class GMTRuntime:
         #: Queueing time model, built lazily (subclasses adjust the
         #: orchestration parameters it reads after construction).
         self._queueing = None
+        self._queueing_on = config.time_model == "queueing"
         #: Scratch flags describing the last eviction's side effects, for
         #: the queueing model's critical-path sequencing.
         self._fx_writeback = False
@@ -236,10 +246,6 @@ class GMTRuntime:
 
     def detach_event_log(self) -> None:
         self._events = None
-
-    def _emit(self, kind: EventKind, page: int) -> None:
-        if self._events is not None:
-            self._events.emit(kind, page, self.vts.now)
 
     # ------------------------------------------------------------------
     # telemetry (optional, see repro.obs)
@@ -356,10 +362,11 @@ class GMTRuntime:
 
     def access(self, page: int, write: bool = False) -> None:
         """One coalesced access to ``page``."""
+        stats = self.stats
         if (
             self._check_every is not None
-            and self.stats.coalesced_accesses
-            and self.stats.coalesced_accesses % self._check_every == 0
+            and stats.coalesced_accesses
+            and stats.coalesced_accesses % self._check_every == 0
         ):
             # Audit between accesses: the previous access fully settled,
             # this one has not touched any counter yet.
@@ -367,20 +374,22 @@ class GMTRuntime:
         state = self.page_table.lookup(page)
         vtd = self.vts.observe_access(state)
         self.policy.on_access(state, vtd)
-        self.stats.coalesced_accesses += 1
+        stats.coalesced_accesses += 1
         platform = self.config.platform
         self.cost.add_compute(platform.gpu_access_ns)
 
-        queueing = self._queueing_model()
+        queueing = self._queueing_model() if self._queueing_on else None
         obs = self._obs
         if obs is not None:
-            obs.tick(self.stats.coalesced_accesses)
+            obs.tick(stats.coalesced_accesses)
+        events = self._events
 
-        if state.location is PageLocation.TIER1:
+        if state.location is _TIER1:
             if queueing is not None:
                 queueing.on_hit()
-            self._emit(EventKind.T1_HIT, page)
-            self.stats.t1_hits += 1
+            if events is not None:
+                events.emit(EventKind.T1_HIT, page, self.vts.now)
+            stats.t1_hits += 1
             self.t1_clock.touch(page)
             if write:
                 state.mark_dirty()
@@ -389,31 +398,36 @@ class GMTRuntime:
                 # hit and run the deferred fill bookkeeping (Markov
                 # resolution happens at demand time, not prefetch time).
                 state.prefetched = False
-                self.stats.prefetch_hits += 1
+                stats.prefetch_hits += 1
                 self.policy.on_tier1_fill(state, from_tier2=False)
             return
 
         # ---- demand miss --------------------------------------------------
-        self._emit(EventKind.MISS, page)
-        self.stats.t1_misses += 1
+        if events is not None:
+            events.emit(EventKind.MISS, page, self.vts.now)
+        stats.t1_misses += 1
         fault_ns = self._extra_fault_ns
         from_tier2 = False
-        if self.tier2.capacity > 0:
-            self._emit(EventKind.T2_LOOKUP, page)
-            self.stats.t2_lookups += 1
+        has_tier2 = self.tier2.capacity > 0
+        if has_tier2:
+            if events is not None:
+                events.emit(EventKind.T2_LOOKUP, page, self.vts.now)
+            stats.t2_lookups += 1
             fault_ns += platform.tier2_lookup_ns
-            if state.location is PageLocation.TIER2:
+            if state.location is _TIER2:
                 from_tier2 = True
             else:
-                self.stats.t2_wasteful_lookups += 1
+                stats.t2_wasteful_lookups += 1
             if obs is not None:
                 obs.span("t2-lookup", "tier2", platform.tier2_lookup_ns,
                          page=page, hit=from_tier2)
 
+        flight = self._flight
         if from_tier2:
-            self._emit(EventKind.T2_HIT, page)
-            self.stats.t2_hits += 1
-            self.stats.t2_fetches += 1
+            if events is not None:
+                events.emit(EventKind.T2_HIT, page, self.vts.now)
+            stats.t2_hits += 1
+            stats.t2_fetches += 1
             self.tier2.remove(page)
             self._t2_order.remove(page)
             self.pcie.record_h2d(self.config.page_size)
@@ -423,43 +437,43 @@ class GMTRuntime:
                 # refused (the faulting warp needs the page, and exclusive
                 # tiering forbids a host copy), so it queues behind the
                 # throttle instead.
-                self.stats.promotions_throttled += 1
-            fault_ns += platform.host_fetch_latency_ns + self._t2_move_ns + stall_ns
+                stats.promotions_throttled += 1
+            fetch_ns = platform.host_fetch_latency_ns + self._t2_move_ns + stall_ns
+            fault_ns += fetch_ns
             if obs is not None:
-                obs.span("t2-fetch", "tier2",
-                         platform.host_fetch_latency_ns + self._t2_move_ns + stall_ns,
-                         page=page)
-            if self._flight is not None:
-                self._flight.emit(
-                    LifecycleKind.PROMOTE, page, self.stats.coalesced_accesses,
-                    "T2", "T1", "demand-miss",
-                    latency_ns=platform.host_fetch_latency_ns + self._t2_move_ns,
+                obs.span("t2-fetch", "tier2", fetch_ns, page=page)
+            if flight is not None:
+                flight.emit(
+                    LifecycleKind.PROMOTE, page, stats.coalesced_accesses,
+                    "T2", "T1", "demand-miss", latency_ns=fetch_ns,
                 )
         else:
             # Up-path bypasses Tier-2: SSD -> GPU memory directly.
-            self._emit(EventKind.SSD_READ, page)
+            if events is not None:
+                events.emit(EventKind.SSD_READ, page, self.vts.now)
             self.ssd.record_read(self.config.page_size)
-            self.stats.ssd_page_reads += 1
+            stats.ssd_page_reads += 1
             state.dirty = False  # fresh copy of the SSD contents
             fault_ns += platform.ssd_read_latency_ns
             if obs is not None:
                 obs.span("ssd-read", "ssd", platform.ssd_read_latency_ns, page=page)
-            if self._flight is not None:
-                self._flight.emit(
-                    LifecycleKind.ADMIT, page, self.stats.coalesced_accesses,
+            if flight is not None:
+                flight.emit(
+                    LifecycleKind.ADMIT, page, stats.coalesced_accesses,
                     "T3", "T1", "demand-miss",
                     latency_ns=platform.ssd_read_latency_ns,
                 )
 
         eviction_ns = self._ensure_tier1_frame()
-        if not self.config.async_evictions:
+        async_evictions = self.config.async_evictions
+        if not async_evictions:
             # Demand-miss path waits for the frame to be freed; with
             # background orchestration (paper section 5, future work) the
             # eviction work overlaps with other faults instead.
             fault_ns += eviction_ns
 
         if queueing is not None:
-            if self.config.async_evictions:
+            if async_evictions:
                 if self._fx_writeback:
                     queueing.on_background_io(self.config.page_size, write=True)
                 if self._fx_t2_place:
@@ -470,17 +484,18 @@ class GMTRuntime:
                 sync_place = self._fx_t2_place
                 sync_evict = self._fx_t2_evict
             queueing.on_miss(
-                tier2_lookup=self.tier2.capacity > 0,
+                tier2_lookup=has_tier2,
                 tier2_hit=from_tier2,
                 writeback=sync_writeback,
                 tier2_place=sync_place,
                 tier2_evict=sync_evict,
             )
 
-        self._emit(EventKind.T1_FILL, page)
+        if events is not None:
+            events.emit(EventKind.T1_FILL, page, self.vts.now)
         self.tier1.insert(page)
         self.t1_clock.insert(page, referenced=True)
-        state.location = PageLocation.TIER1
+        state.location = _TIER1
         state.prefetched = False
         if write:
             state.dirty = True
@@ -512,10 +527,11 @@ class GMTRuntime:
             stop = min(stop, self.config.footprint_pages)
         for candidate in range(page + 1, stop):
             state = self.page_table.lookup(candidate)
-            if state.location is not PageLocation.TIER3:
+            if state.location is not _TIER3:
                 continue
             self.stats.prefetches_issued += 1
-            self._emit(EventKind.PREFETCH, candidate)
+            if self._events is not None:
+                self._events.emit(EventKind.PREFETCH, candidate, self.vts.now)
             if self._obs is not None:
                 self._obs.instant("prefetch", "ssd", page=candidate)
             if self._flight is not None:
@@ -542,7 +558,7 @@ class GMTRuntime:
                     queueing.on_background_pcie(self.config.page_size)
             self.tier1.insert(candidate)
             self.t1_clock.insert(candidate, referenced=False)
-            state.location = PageLocation.TIER1
+            state.location = _TIER1
             state.dirty = False
             state.prefetched = True
 
@@ -581,60 +597,66 @@ class GMTRuntime:
         if not self._tier1_needs_eviction():
             return 0.0
 
+        policy = self.policy
+        stats = self.stats
+        events = self._events
         retries = 0
         overridden = False
         while True:
             victim = self._next_tier1_victim()
             vstate = self.page_table.lookup(victim)
-            plan = self.policy.choose(vstate)
-            if plan.decision is not PlacementDecision.RETAIN_TIER1:
+            plan = policy.choose(vstate)
+            if plan.decision is not _RETAIN:
                 break
             if retries >= self.config.max_clock_retries:
                 # Progress guarantee: a retained victim must eventually go
                 # somewhere; the nearest tier below is host memory.
-                self.stats.retention_overrides += 1
+                stats.retention_overrides += 1
                 overridden = True
                 plan = _force_tier2(plan)
                 break
-            self.stats.clock_retentions += 1
-            self._emit(EventKind.RETAIN, victim)
+            stats.clock_retentions += 1
+            if events is not None:
+                events.emit(EventKind.RETAIN, victim, self.vts.now)
             if self._flight is not None:
                 self._flight.emit(
-                    LifecycleKind.RETAIN, victim, self.stats.coalesced_accesses,
+                    LifecycleKind.RETAIN, victim, stats.coalesced_accesses,
                     "T1", "T1", "short-reuse-second-chance",
-                    predicted=_predicted_name(plan),
+                    predicted=plan.predicted_name,
                 )
             self.t1_clock.insert(victim, referenced=True)
             retries += 1
 
-        self._emit(EventKind.EVICT_T1, victim)
+        if events is not None:
+            events.emit(EventKind.EVICT_T1, victim, self.vts.now)
         self.tier1.remove(victim)
-        vstate.location = PageLocation.TIER3  # provisional; updated below
-        self.stats.t1_evictions += 1
+        vstate.location = _TIER3  # provisional; updated below
+        stats.t1_evictions += 1
         if vstate.prefetched:
             vstate.prefetched = False
-            self.stats.prefetch_wasted += 1
-        self.policy.on_evicted(vstate, plan)
-        if plan.forced_tier2:
-            self.stats.forced_t2_placements += 1
+            stats.prefetch_wasted += 1
+        policy.on_evicted(vstate, plan)
+        forced = plan.forced_tier2
+        if forced:
+            stats.forced_t2_placements += 1
 
         # Stamp the decision's reasoning for the lifecycle leaves below.
         # Unconditional (not gated on the flight recorder) so the scratch
         # is always trustworthy — conformance audits read it too.
-        self._fx_predicted = _predicted_name(plan)
-        if plan.forced_tier2:
+        predicted = self._fx_predicted = plan.predicted_name
+        if forced:
             self._fx_cause = "heuristic-forced-tier2"
         elif overridden:
             self._fx_cause = "retention-override"
         elif plan.from_fallback:
             self._fx_cause = "cold-fallback"
-        elif plan.predicted_class is not None:
-            self._fx_cause = f"predicted-{self._fx_predicted}"
+        elif predicted is not None:
+            self._fx_cause = f"predicted-{predicted}"
         else:
             self._fx_cause = "policy-static"
 
-        if plan.decision is PlacementDecision.PLACE_TIER2 and self.tier2.capacity > 0:
-            allow_eviction = self.policy.tier2_evicts_on_full and not plan.forced_tier2
+        if plan.decision is _PLACE_T2 and self.tier2.capacity > 0:
+            allow_eviction = policy.tier2_evicts_on_full and not forced
             ns = self._place_in_tier2(vstate, allow_eviction)
         else:
             ns = self._bypass_to_tier3(vstate)
@@ -652,45 +674,49 @@ class GMTRuntime:
         despite a Tier-3 prediction must not displace a resident — every
         Tier-2 resident was placed with at least as strong a claim.
         """
+        stats = self.stats
         if not self._admit_tier2(state):
             # Migration admission control (the serving layer's per-tenant
             # Tier-2 quotas): the page is denied a host-memory frame and
             # takes the Tier-3 bypass path instead.
-            self.stats.t2_quota_denials += 1
+            stats.t2_quota_denials += 1
             self._fx_cause = "t2-quota-denied"
             return self._bypass_to_tier3(state)
         if not self._admit_demotion(state):
             # Migration governor: the tenant is out of migration tokens,
             # so the demotion skips the host tier (no Tier-2 frame, no
             # PCIe writeback pressure) and bypasses straight to Tier-3.
-            self.stats.demotions_throttled += 1
+            stats.demotions_throttled += 1
             self._fx_cause = "migration-throttled"
             return self._bypass_to_tier3(state)
         ns = 0.0
         if self.tier2.full:
             if not allow_eviction:
-                self.stats.t2_full_bypasses += 1
+                stats.t2_full_bypasses += 1
                 self._fx_cause = "t2-full-bypass"
                 return self._bypass_to_tier3(state)
             ns += self._evict_from_tier2()
 
-        self._emit(EventKind.PLACE_T2, state.page)
+        page = state.page
+        if self._events is not None:
+            self._events.emit(EventKind.PLACE_T2, page, self.vts.now)
         self._fx_t2_place = True
-        self.tier2.insert(state.page)
+        self.tier2.insert(page)
         # Demoted pages arrive cold regardless of the policy's default.
-        self._t2_order.insert(state.page, referenced=False)
-        state.location = PageLocation.TIER2
-        self.stats.t2_placements += 1
+        self._t2_order.insert(page, referenced=False)
+        state.location = _TIER2
+        stats.t2_placements += 1
         self.pcie.record_d2h(self.config.page_size)
-        ns += self._t2_move_ns
+        move_ns = self._t2_move_ns
+        ns += move_ns
         obs = self._obs
         if obs is not None:
-            obs.span("place-t2", "tier2", self._t2_move_ns, page=state.page)
+            obs.span("place-t2", "tier2", move_ns, page=page)
         if self._flight is not None:
             self._flight.emit(
-                LifecycleKind.DEMOTE, state.page, self.stats.coalesced_accesses,
+                LifecycleKind.DEMOTE, page, stats.coalesced_accesses,
                 "T1", "T2", self._fx_cause, predicted=self._fx_predicted,
-                dirty=state.dirty, latency_ns=self._t2_move_ns,
+                dirty=state.dirty, latency_ns=move_ns,
             )
         return ns
 
@@ -724,65 +750,71 @@ class GMTRuntime:
     def _evict_from_tier2(self) -> float:
         """Make room in Tier-2 (FIFO, or clock under GMT-TierOrder)."""
         victim = self._select_tier2_victim()
-        self._emit(EventKind.T2_EVICT, victim)
+        if self._events is not None:
+            self._events.emit(EventKind.T2_EVICT, victim, self.vts.now)
         self._fx_t2_evict = True
         self.tier2.remove(victim)
         vstate = self.page_table.lookup(victim)
-        vstate.location = PageLocation.TIER3
+        vstate.location = _TIER3
         self.stats.t2_evictions += 1
+        eviction_ns = self.config.platform.tier2_eviction_ns
         obs = self._obs
         if obs is not None:
-            obs.span("t2-evict", "tier2",
-                     self.config.platform.tier2_eviction_ns, page=victim)
+            obs.span("t2-evict", "tier2", eviction_ns, page=victim)
         if self._flight is not None:
             self._flight.emit(
                 LifecycleKind.T2_EVICT, victim, self.stats.coalesced_accesses,
                 "T2", "T3", "tier2-capacity", dirty=vstate.dirty,
-                latency_ns=self.config.platform.tier2_eviction_ns,
+                latency_ns=eviction_ns,
             )
         # Running the Tier-2 replacement mechanism is itself GPU work over
         # host-resident metadata (section 2.1.1's third drawback).
         writeback_ns = self._writeback_if_dirty(vstate)
         if writeback_ns == 0.0:
             self.stats.t2_clean_evictions += 1
-        return self.config.platform.tier2_eviction_ns + writeback_ns
+        return eviction_ns + writeback_ns
 
     def _bypass_to_tier3(self, state: PageState) -> float:
         """Evict without a Tier-2 copy: discard clean, write back dirty."""
-        self._emit(EventKind.BYPASS_T3, state.page)
-        state.location = PageLocation.TIER3
+        events = self._events
+        if events is not None:
+            events.emit(EventKind.BYPASS_T3, state.page, self.vts.now)
+        state.location = _TIER3
         if self._flight is not None:
+            dirty = state.dirty
             self._flight.emit(
                 LifecycleKind.BYPASS, state.page, self.stats.coalesced_accesses,
                 "T1", "T3", self._fx_cause, predicted=self._fx_predicted,
-                dirty=state.dirty,
-                detail="writeback-dirty" if state.dirty else "discard-clean",
+                dirty=dirty,
+                detail="writeback-dirty" if dirty else "discard-clean",
             )
         ns = self._writeback_if_dirty(state)
         if ns == 0.0:
-            self._emit(EventKind.DISCARD, state.page)
+            if events is not None:
+                events.emit(EventKind.DISCARD, state.page, self.vts.now)
             self.stats.clean_discards += 1
         return ns
 
     def _writeback_if_dirty(self, state: PageState) -> float:
         if not state.dirty:
             return 0.0
-        self._emit(EventKind.WRITEBACK, state.page)
+        page = state.page
+        if self._events is not None:
+            self._events.emit(EventKind.WRITEBACK, page, self.vts.now)
         self._fx_writeback = True
         self.ssd.record_write(self.config.page_size)
         self.stats.ssd_page_writes += 1
         state.writeback()
+        write_ns = self.config.platform.ssd_write_latency_ns
         obs = self._obs
         if obs is not None:
-            obs.span("writeback", "ssd",
-                     self.config.platform.ssd_write_latency_ns, page=state.page)
+            obs.span("writeback", "ssd", write_ns, page=page)
         if self._flight is not None:
             self._flight.emit(
-                LifecycleKind.WRITEBACK, state.page, self.stats.coalesced_accesses,
-                "-", "T3", "dirty-writeback",
-                latency_ns=self.config.platform.ssd_write_latency_ns,
+                LifecycleKind.WRITEBACK, page, self.stats.coalesced_accesses,
+                "-", "T3", "dirty-writeback", latency_ns=write_ns,
             )
-        return self.config.platform.ssd_write_latency_ns
+        return write_ns
 
     # ------------------------------------------------------------------
     def result(self) -> RunResult:
@@ -821,13 +853,7 @@ class GMTRuntime:
         for state in self.page_table:
             in_t1 = state.page in t1_pages
             in_t2 = state.page in t2_pages
-            expected = (
-                PageLocation.TIER1
-                if in_t1
-                else PageLocation.TIER2
-                if in_t2
-                else PageLocation.TIER3
-            )
+            expected = _TIER1 if in_t1 else _TIER2 if in_t2 else _TIER3
             if state.location is not expected:
                 raise SimulationError(
                     f"page {state.page}: location {state.location} but "
@@ -838,8 +864,3 @@ class GMTRuntime:
 def _force_tier2(plan):
     """Rewrite a RETAIN plan whose retry budget ran out into a Tier-2 plan."""
     return replace(plan, decision=PlacementDecision.PLACE_TIER2)
-
-
-def _predicted_name(plan) -> str | None:
-    """Lower-case reuse-class name behind a plan (None = no prediction)."""
-    return None if plan.predicted_class is None else plan.predicted_class.name.lower()

@@ -8,11 +8,14 @@ caps every experiment cell, bench number, and serve run (ROADMAP item 1).
 This module keeps the *miss pipeline* — the part with real control flow:
 eviction decisions, Tier-2 admission, writebacks — byte-for-byte on the
 scalar code path, and vectorizes only what dominates the instruction
-stream: runs of consecutive Tier-1 hits.  Per-page metadata lives in
-parallel numpy arrays indexed by page id (:class:`VectorPageStore`); the
-replay loop detects maximal hit prefixes with one fancy-indexed compare
-and retires them with a handful of array ops (:meth:`VectorEngineMixin.
-_batch_hits`) instead of one Python iteration each.
+stream: runs of consecutive Tier-1 hits.  The per-page fields a hit
+touches live in dense columns indexed by page id
+(:class:`VectorPageStore`); the replay loop detects maximal hit prefixes
+with one fancy-indexed compare and retires them with a handful of array
+ops (:meth:`VectorEngineMixin._batch_hits`) instead of one Python
+iteration each.  Fields only the miss pipeline touches stay plain
+attributes of the page's state object, so a miss pays no array access
+for them.
 
 Byte-identity with the scalar engine is a hard requirement (the
 ``gmt-check`` differential harness enforces it, see
@@ -43,6 +46,7 @@ engine.
 from __future__ import annotations
 
 import weakref
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -68,11 +72,7 @@ __all__ = [
     "vector_variant",
 ]
 
-#: Tier codes as stored in :attr:`VectorPageStore.loc` (== PageLocation.value).
-_T1_CODE = PageLocation.TIER1.value
-_T3_CODE = PageLocation.TIER3.value
-#: Decode table: location code -> PageLocation (index 0 unused).
-_LOC_FROM_CODE = (None, PageLocation.TIER1, PageLocation.TIER2, PageLocation.TIER3)
+_TIER3 = PageLocation.TIER3
 
 #: Adaptive hit-window bounds (batch sizes; tuning only, never semantics).
 _WINDOW_MIN = 64
@@ -94,15 +94,27 @@ _STREAM_CHUNK_WARPS = 4096
 
 
 class VectorPageStore:
-    """Dense parallel arrays of per-page metadata, indexed by page id.
+    """Dense per-page columns, indexed by page id, for the batch hit path.
 
-    One store backs a runtime's page table *and* its Tier-1 clock, so the
-    batch path reads tier ids, prefetch flags, dirty bits and clock frames
-    with pure fancy indexing.  Arrays grow geometrically on demand; page
-    ids are assumed reasonably dense (they are: workloads number pages
+    Only what a batch of Tier-1 hits reads or writes lives here: the
+    access stamp and count, the dirty bit, the page's Tier-1 clock frame
+    (``-1`` = not resident in Tier-1, which makes ``t1_frame >= 0`` the
+    batch probe's residency test) and, when prefetching is on, the
+    prefetched flag.  Everything else about a page is a plain attribute
+    of its :class:`VectorPageState`.
+
+    Each column is a flat Python buffer (``array.array`` / ``bytearray``)
+    with a zero-copy numpy view beside it: the scalar miss pipeline
+    indexes the buffer (a Python int, no numpy scalar), the batch path
+    fancy-indexes the ``*_view`` array.  Columns grow geometrically on
+    demand by copying, which re-points the views; a view held across a
+    growth goes stale, so batch code takes views only after
+    :meth:`ensure` has covered its whole chunk.  Page ids are assumed
+    reasonably dense (they are: workloads number pages
     ``0..footprint``).  Sparse gigantic ids — e.g. the serve layer's
-    namespaced ``tenant << 32`` pages — exceed :data:`MAX_PAGES` and raise,
-    which is why the serve multiplexer always runs the scalar engine.
+    namespaced ``tenant << 32`` pages — exceed :data:`MAX_PAGES` and
+    raise, which is why the serve multiplexer always runs the scalar
+    engine.
     """
 
     #: Hard cap on the dense address space (64 Mi pages ~= several GiB of
@@ -111,30 +123,40 @@ class VectorPageStore:
 
     __slots__ = (
         "size",
-        "loc",
         "dirty",
         "prefetched",
         "last_access",
-        "last_evict",
         "access_count",
-        "evict_count",
         "t1_frame",
+        "dirty_view",
+        "prefetched_view",
+        "last_access_view",
+        "access_count_view",
+        "t1_frame_view",
     )
 
-    def __init__(self, initial: int = 1024) -> None:
+    def __init__(self, initial: int = 1024, prefetch: bool = False) -> None:
         initial = max(1, initial)
         self.size = initial
-        self.loc = np.full(initial, _T3_CODE, dtype=np.int8)
-        self.dirty = np.zeros(initial, dtype=bool)
-        self.prefetched = np.zeros(initial, dtype=bool)
-        self.last_access = np.full(initial, -1, dtype=np.int64)
-        self.last_evict = np.full(initial, -1, dtype=np.int64)
-        self.access_count = np.zeros(initial, dtype=np.int64)
-        self.evict_count = np.zeros(initial, dtype=np.int64)
-        self.t1_frame = np.full(initial, -1, dtype=np.int32)
+        self.dirty = bytearray(initial)
+        self.prefetched = bytearray(initial) if prefetch else None
+        self.last_access = array("q", [-1]) * initial
+        self.access_count = array("q", [0]) * initial
+        self.t1_frame = array("i", [-1]) * initial
+        self._make_views()
+
+    def _make_views(self) -> None:
+        self.dirty_view = np.frombuffer(self.dirty, dtype=np.bool_)
+        self.prefetched_view = (
+            None if self.prefetched is None
+            else np.frombuffer(self.prefetched, dtype=np.bool_)
+        )
+        self.last_access_view = np.frombuffer(self.last_access, dtype=np.int64)
+        self.access_count_view = np.frombuffer(self.access_count, dtype=np.int64)
+        self.t1_frame_view = np.frombuffer(self.t1_frame, dtype=np.intc)
 
     def ensure(self, n: int) -> None:
-        """Grow the arrays to cover page ids ``0..n-1``."""
+        """Grow the columns to cover page ids ``0..n-1``."""
         if n <= self.size:
             return
         if n > self.MAX_PAGES:
@@ -143,134 +165,124 @@ class VectorPageStore:
                 f"capacity ({self.MAX_PAGES}); run this trace with "
                 "engine='scalar'"
             )
-        new = min(max(n, self.size * 2), self.MAX_PAGES)
-        self.loc = self._grow(self.loc, new, _T3_CODE)
-        self.dirty = self._grow(self.dirty, new, False)
-        self.prefetched = self._grow(self.prefetched, new, False)
-        self.last_access = self._grow(self.last_access, new, -1)
-        self.last_evict = self._grow(self.last_evict, new, -1)
-        self.access_count = self._grow(self.access_count, new, 0)
-        self.evict_count = self._grow(self.evict_count, new, 0)
-        self.t1_frame = self._grow(self.t1_frame, new, -1)
-        self.size = new
-
-    @staticmethod
-    def _grow(arr: np.ndarray, new: int, fill) -> np.ndarray:
-        out = np.full(new, fill, dtype=arr.dtype)
-        out[: arr.shape[0]] = arr
-        return out
+        extra = min(max(n, self.size * 2), self.MAX_PAGES) - self.size
+        self.dirty = self.dirty + bytearray(extra)
+        if self.prefetched is not None:
+            self.prefetched = self.prefetched + bytearray(extra)
+        self.last_access = self.last_access + array("q", [-1]) * extra
+        self.access_count = self.access_count + array("q", [0]) * extra
+        self.t1_frame = self.t1_frame + array("i", [-1]) * extra
+        self.size += extra
+        self._make_views()
 
 
 class VectorPageState(PageState):
-    """A :class:`PageState` view over one :class:`VectorPageStore` row.
+    """A :class:`PageState` whose batch-visible fields live in a
+    :class:`VectorPageStore` row.
 
-    The scalar miss pipeline keeps mutating ``state.location``,
-    ``state.dirty`` etc.; these data descriptors route every read and
-    write to the shared arrays, so the scalar and batch paths can never
-    disagree about a page.  ``policy_state`` stays a plain per-page dict —
-    it holds arbitrary policy scratch (Markov histories, pending
-    predictions) that has no array shape.
+    ``dirty``, ``last_access_ts`` and ``access_count`` are data
+    descriptors over the store's columns, because the batch hit path
+    updates them for whole runs of pages at once.  ``location``,
+    ``last_eviction_ts``, ``eviction_count``, ``prefetched`` and
+    ``policy_state`` are plain slots: only the scalar miss pipeline
+    touches them (Tier-1 residency, the one location fact the batch
+    probe needs, is the store's ``t1_frame`` column, kept by the clock).
     """
+
+    __slots__ = ("_store",)
 
     def __init__(self, page: int, store: VectorPageStore) -> None:
         store.ensure(page + 1)
         self.page = page
         self._store = store
+        self.location = _TIER3
+        self.last_eviction_ts = None
+        self.eviction_count = 0
+        self.prefetched = False
         self.policy_state = {}
 
     @property
-    def location(self) -> PageLocation:
-        return _LOC_FROM_CODE[self._store.loc[self.page]]
-
-    @location.setter
-    def location(self, value: PageLocation) -> None:
-        self._store.loc[self.page] = value.value
-
-    @property
     def dirty(self) -> bool:
-        return bool(self._store.dirty[self.page])
+        return self._store.dirty[self.page] == 1
 
     @dirty.setter
     def dirty(self, value: bool) -> None:
         self._store.dirty[self.page] = value
 
     @property
-    def prefetched(self) -> bool:
-        return bool(self._store.prefetched[self.page])
-
-    @prefetched.setter
-    def prefetched(self, value: bool) -> None:
-        self._store.prefetched[self.page] = value
-
-    @property
     def last_access_ts(self) -> int | None:
         ts = self._store.last_access[self.page]
-        return None if ts < 0 else int(ts)
+        return None if ts < 0 else ts
 
     @last_access_ts.setter
     def last_access_ts(self, value: int | None) -> None:
         self._store.last_access[self.page] = -1 if value is None else value
 
     @property
-    def last_eviction_ts(self) -> int | None:
-        ts = self._store.last_evict[self.page]
-        return None if ts < 0 else int(ts)
-
-    @last_eviction_ts.setter
-    def last_eviction_ts(self, value: int | None) -> None:
-        self._store.last_evict[self.page] = -1 if value is None else value
-
-    @property
     def access_count(self) -> int:
-        return int(self._store.access_count[self.page])
+        return self._store.access_count[self.page]
 
     @access_count.setter
     def access_count(self, value: int) -> None:
         self._store.access_count[self.page] = value
 
-    @property
-    def eviction_count(self) -> int:
-        return int(self._store.evict_count[self.page])
 
-    @eviction_count.setter
-    def eviction_count(self, value: int) -> None:
-        self._store.evict_count[self.page] = value
+class PrefetchVectorPageState(VectorPageState):
+    """:class:`VectorPageState` for prefetching runs: the batch probe
+    must see the prefetched flag (a prefetched page's first demand touch
+    replays scalar), so it moves into the store's column too."""
+
+    __slots__ = ()
+
+    @property
+    def prefetched(self) -> bool:
+        return self._store.prefetched[self.page] == 1
+
+    @prefetched.setter
+    def prefetched(self, value: bool) -> None:
+        self._store.prefetched[self.page] = value
 
 
 class VectorPageTable(PageTable):
-    """Page table whose entries are views over a :class:`VectorPageStore`.
+    """Page table whose entries keep their batch-visible fields in a
+    :class:`VectorPageStore`.
 
     ``_entries`` still maps page id -> state object, because the miss
-    pipeline and the policies hold on to state objects; but the per-page
-    *data* lives in the store.  Every page ever accessed takes at least
-    one miss (all pages start on Tier-3), so every resident page has an
-    entry here — the batch path never needs to create one.
+    pipeline and the policies hold on to state objects.  Every page ever
+    accessed takes at least one miss (all pages start on Tier-3), so
+    every resident page has an entry here — the batch path never needs
+    to create one.
     """
 
     def __init__(self, store: VectorPageStore) -> None:
         super().__init__()
         self._store = store
+        self._state_cls = (
+            VectorPageState if store.prefetched is None else PrefetchVectorPageState
+        )
 
     def lookup(self, page: int) -> PageState:
-        if page < 0:
-            raise ValueError(f"page ids must be non-negative, got {page}")
         state = self._entries.get(page)
         if state is None:
-            state = VectorPageState(page, self._store)
+            if page < 0:
+                raise ValueError(f"page ids must be non-negative, got {page}")
+            state = self._state_cls(page, self._store)
             self._entries[page] = state
         return state
 
 
 class VectorClock:
-    """Clock replacement over numpy frame arrays, byte-compatible with
+    """Clock replacement sharing its page -> frame map with a
+    :class:`VectorPageStore`, byte-compatible with
     :class:`~repro.mem.clock_replacement.ClockReplacement`.
 
-    The sweep methods are literal ports of the scalar algorithm (misses
-    are scalar anyway; an identical sweep is the cheapest way to guarantee
-    identical victims).  What the arrays buy is :meth:`touch_many` — the
-    per-hit reference-bit set becomes one fancy-indexed store, with the
-    page -> frame map held in :attr:`VectorPageStore.t1_frame` instead of
-    a dict.
+    The sweep is the scalar algorithm over a Python list of pages and a
+    ``bytearray`` of reference bits (misses are scalar anyway; an
+    identical sweep is the cheapest way to guarantee identical victims).
+    What the shared store buys is :meth:`touch_many` — the per-hit
+    reference-bit set becomes one fancy-indexed store through a
+    zero-copy numpy view of the bits — and the batch probe's residency
+    test, ``t1_frame >= 0``, which this clock keeps exact.
     """
 
     def __init__(self, capacity: int, store: VectorPageStore) -> None:
@@ -278,8 +290,9 @@ class VectorClock:
             raise CapacityError(f"negative clock capacity {capacity}")
         self.capacity = capacity
         self._store = store
-        self._pages = np.full(capacity, -1, dtype=np.int64)
-        self._refbits = np.zeros(capacity, dtype=bool)
+        self._pages: list[int] = [-1] * capacity
+        self._refbits = bytearray(capacity)
+        self._refbits_view = np.frombuffer(self._refbits, dtype=np.bool_)
         self._free: list[int] = list(range(capacity - 1, -1, -1))
         self._hand = 0
         self._count = 0
@@ -291,10 +304,9 @@ class VectorClock:
         return self._frame_of(page) != -1
 
     def _frame_of(self, page: int) -> int:
-        t1f = self._store.t1_frame
-        if page < 0 or page >= t1f.shape[0]:
+        if page < 0 or page >= self._store.size:
             return -1
-        return int(t1f[page])
+        return self._store.t1_frame[page]
 
     @property
     def full(self) -> bool:
@@ -303,15 +315,17 @@ class VectorClock:
     def insert(self, page: int, referenced: bool = True) -> None:
         """Install ``page`` in a free frame (reference bit set by default,
         since insertion is itself an access)."""
-        if self._frame_of(page) != -1:
+        store = self._store
+        if page >= store.size:
+            store.ensure(page + 1)
+        elif store.t1_frame[page] != -1:
             raise PageStateError(f"page {page} already tracked by clock")
         if not self._free:
             raise CapacityError("clock is full; call evict() first")
         frame = self._free.pop()
         self._pages[frame] = page
         self._refbits[frame] = referenced
-        self._store.ensure(page + 1)
-        self._store.t1_frame[page] = frame
+        store.t1_frame[page] = frame
         self._count += 1
 
     def touch(self, page: int) -> None:
@@ -319,7 +333,7 @@ class VectorClock:
         frame = self._frame_of(page)
         if frame == -1:
             raise PageStateError(f"page {page} not tracked by clock")
-        self._refbits[frame] = True
+        self._refbits[frame] = 1
 
     def touch_many(self, pages: np.ndarray) -> None:
         """Set the reference bits for a batch of tracked pages at once.
@@ -327,7 +341,7 @@ class VectorClock:
         Callers guarantee every page is tracked (the batch hit path only
         feeds Tier-1 residents); duplicates are fine.
         """
-        self._refbits[self._store.t1_frame[pages]] = True
+        self._refbits_view[self._store.t1_frame_view[pages]] = True
 
     def give_second_chance(self, page: int) -> None:
         """Re-arm ``page``'s reference bit without it being accessed."""
@@ -338,14 +352,19 @@ class VectorClock:
         frame = self._frame_of(page)
         if frame == -1:
             raise PageStateError(f"page {page} not tracked by clock")
+        self._release(frame, page)
+
+    def _release(self, frame: int, page: int) -> None:
         self._pages[frame] = -1
-        self._refbits[frame] = False
+        self._refbits[frame] = 0
         self._store.t1_frame[page] = -1
         self._free.append(frame)
         self._count -= 1
 
-    def select_victim(self) -> int:
-        """Sweep the hand and return (and remove) the next victim page."""
+    def _sweep(self) -> int:
+        """Advance the hand to the next unreferenced page, clearing the
+        reference bits it passes; returns that page's frame and leaves
+        the hand just past it."""
         if not self._count:
             raise PageStateError("clock is empty; nothing to evict")
         pages = self._pages
@@ -353,24 +372,28 @@ class VectorClock:
         capacity = self.capacity
         hand = self._hand
         while True:
-            page = pages[hand]
-            if page == -1:
-                hand = (hand + 1) % capacity
-                continue
-            if refbits[hand]:
-                refbits[hand] = False
-                hand = (hand + 1) % capacity
-                continue
-            hand = (hand + 1) % capacity
-            self._hand = hand
-            self.remove(int(page))
-            return int(page)
+            if pages[hand] != -1:
+                if not refbits[hand]:
+                    break
+                refbits[hand] = 0
+            hand += 1
+            if hand == capacity:
+                hand = 0
+        self._hand = hand + 1 if hand + 1 < capacity else 0
+        return hand
+
+    def select_victim(self) -> int:
+        """Sweep the hand and return (and remove) the next victim page."""
+        frame = self._sweep()
+        page = self._pages[frame]
+        self._release(frame, page)
+        return page
 
     def select_victim_where(self, predicate) -> int | None:
         """Filtered clock sweep: evict the next victim satisfying
         ``predicate``; non-matching pages' reference bits stay untouched.
         Returns ``None`` when no tracked page matches."""
-        if not any(predicate(int(p)) for p in self._pages if p != -1):
+        if not any(predicate(p) for p in self._pages if p != -1):
             return None
         pages = self._pages
         refbits = self._refbits
@@ -380,17 +403,16 @@ class VectorClock:
         # reference bits, the second must then find a clear one.
         for _ in range(2 * capacity + 1):
             page = pages[hand]
-            if page == -1 or not predicate(int(page)):
+            if page == -1 or not predicate(page):
                 hand = (hand + 1) % capacity
                 continue
             if refbits[hand]:
-                refbits[hand] = False
+                refbits[hand] = 0
                 hand = (hand + 1) % capacity
                 continue
-            hand = (hand + 1) % capacity
-            self._hand = hand
-            self.remove(int(page))
-            return int(page)
+            self._hand = (hand + 1) % capacity
+            self._release(hand, page)
+            return page
         self._hand = hand
         raise PageStateError("filtered clock sweep failed to converge")  # pragma: no cover
 
@@ -399,28 +421,11 @@ class VectorClock:
 
         The hand still sweeps (clearing reference bits), matching a real
         clock whose scan is destructive of recency state."""
-        if not self._count:
-            raise PageStateError("clock is empty; nothing to evict")
-        pages = self._pages
-        refbits = self._refbits
-        capacity = self.capacity
-        hand = self._hand
-        while True:
-            page = pages[hand]
-            if page == -1:
-                hand = (hand + 1) % capacity
-                continue
-            if refbits[hand]:
-                refbits[hand] = False
-                hand = (hand + 1) % capacity
-                continue
-            hand = (hand + 1) % capacity
-            self._hand = hand
-            return int(page)
+        return self._pages[self._sweep()]
 
     def pages(self) -> list[int]:
         """Snapshot of tracked pages in frame order (test helper)."""
-        return [int(p) for p in self._pages if p != -1]
+        return [p for p in self._pages if p != -1]
 
 
 # ----------------------------------------------------------------------
@@ -533,7 +538,7 @@ class VectorEngineMixin:
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        store = VectorPageStore()
+        store = VectorPageStore(prefetch=bool(self.config.prefetch_degree))
         self._vstore = store
         self.page_table = VectorPageTable(store)
         # Only the plain clock has a vector twin; a policy-zoo Tier-1
@@ -683,11 +688,15 @@ class VectorEngineMixin:
                 # The scalar path is exact for hits and misses alike, so
                 # this is a speed decision, never a semantic one.
                 end = min(i + _SCALAR_STRIDE, n)
-                while i < end:
-                    if warps is not None:
-                        stats.warp_instructions = warp_base + int(warps[i])
-                    access(int(pages[i]), write=bool(writes[i]))
-                    i += 1
+                burst = zip(pages[i:end].tolist(), writes[i:end].tolist())
+                if warps is None:
+                    for page, write in burst:
+                        access(page, write=write)
+                else:
+                    for warp, (page, write) in zip(warps[i:end].tolist(), burst):
+                        stats.warp_instructions = warp_base + warp
+                        access(page, write=write)
+                i = end
                 miss_streak = 0
                 continue
             w = min(window, n - i)
@@ -705,9 +714,9 @@ class VectorEngineMixin:
                 if room < w:
                     w = room
             chunk = pages[i : i + w]
-            hits = store.loc[chunk] == _T1_CODE
+            hits = store.t1_frame_view[chunk] >= 0
             if check_prefetched:
-                hits &= ~store.prefetched[chunk]
+                hits &= ~store.prefetched_view[chunk]
             if hits.all():
                 run_len = w
             else:
@@ -751,11 +760,11 @@ class VectorEngineMixin:
         base = self.vts.now
         self.vts.advance(k)
         np.maximum.at(
-            store.last_access,
+            store.last_access_view,
             chunk,
             np.arange(base + 1, base + k + 1, dtype=np.int64),
         )
-        np.add.at(store.access_count, chunk, 1)
+        np.add.at(store.access_count_view, chunk, 1)
         self.stats.coalesced_accesses += k
         self.stats.t1_hits += k
         self.cost.add_compute_batch(self.config.platform.gpu_access_ns, k)
@@ -763,8 +772,26 @@ class VectorEngineMixin:
         if queueing is not None:
             queueing.on_hits(k)
         if writes.any():
-            store.dirty[chunk[writes]] = True
+            store.dirty_view[chunk[writes]] = True
         self.t1_clock.touch_many(chunk)
+
+    # -- conformance ----------------------------------------------------
+    def check_invariants(self) -> None:
+        """The scalar structural invariants, plus the batch probe's view
+        of Tier-1: the pages whose store row carries a clock frame
+        (``t1_frame >= 0``) must be exactly the Tier-1 residents, or a
+        batch would retire a miss as a hit (or the reverse)."""
+        super().check_invariants()
+        if not isinstance(self.t1_clock, VectorClock):
+            return  # the store's frame column is unused; the replay is scalar
+        framed = set(np.flatnonzero(self._vstore.t1_frame_view >= 0).tolist())
+        t1_pages = set(self.tier1)
+        if framed != t1_pages:
+            stray = sorted(framed ^ t1_pages)[:5]
+            raise SimulationError(
+                "vector store's t1_frame column disagrees with Tier-1 "
+                f"membership for pages {stray}"
+            )
 
 
 # ----------------------------------------------------------------------

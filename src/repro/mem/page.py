@@ -31,9 +31,12 @@ class PageLocation(enum.Enum):
         return {1: "Tier-1", 2: "Tier-2", 3: "Tier-3"}[self.value]
 
 
-@dataclass
+@dataclass(slots=True)
 class PageState:
     """Mutable per-page bookkeeping kept by the page table.
+
+    Slotted: a replay holds one of these per page ever touched, so the
+    per-instance dict would dominate the page table's footprint.
 
     Attributes:
         page: the page id.

@@ -29,10 +29,10 @@ class PageTable:
 
     def lookup(self, page: int) -> PageState:
         """Return the state for ``page``, creating a TIER3 entry if new."""
-        if page < 0:
-            raise ValueError(f"page ids must be non-negative, got {page}")
         state = self._entries.get(page)
         if state is None:
+            if page < 0:
+                raise ValueError(f"page ids must be non-negative, got {page}")
             state = PageState(page=page)
             self._entries[page] = state
         return state

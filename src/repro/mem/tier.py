@@ -57,13 +57,14 @@ class Tier:
             CapacityError: if the tier is full — callers must evict first.
             PageStateError: if the page is already resident here.
         """
-        if page in self._resident:
+        resident = self._resident
+        if page in resident:
             raise PageStateError(f"page {page} already resident in {self.name}")
-        if self.full:
+        if len(resident) >= self.capacity:
             raise CapacityError(
                 f"{self.name} is full ({self.capacity} frames); evict before insert"
             )
-        self._resident.add(page)
+        resident.add(page)
 
     def remove(self, page: int) -> None:
         """Release the frame holding ``page``.

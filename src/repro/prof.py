@@ -190,10 +190,16 @@ class PhaseProfiler:
         self.wall_s = 0.0
         #: Coalesced accesses replayed under :meth:`run`.
         self.accesses = 0
-        self._stack: list[str] = []
-        #: Parallel stack of pre-joined ``;``-paths (avoids a join per
-        #: charge when draining).
-        self._paths: list[str] = []
+        #: Call paths seen so far, by small-integer id (id 0 is the root,
+        #: outside every phase): the ``;``-joined path, its innermost
+        #: phase, and its ``phase -> child id`` map.  Draining walks ids,
+        #: so a charge is a list update rather than a string join and
+        #: two dict updates.
+        self._path_names: list[str] = [""]
+        self._path_phase: list[str] = [""]
+        self._path_kids: list[dict[str, int]] = [{}]
+        #: Ids of the open paths, innermost last (the root never pops).
+        self._open: list[int] = [0]
         self._mark = 0.0
         #: Raw boundary events ``(phase | _EXIT, t)``.  The hot path only
         #: appends here — all stack walking and charging happens in bulk
@@ -218,6 +224,9 @@ class PhaseProfiler:
         self._sampler: threading.Thread | None = None
         self._stop: threading.Event | None = None
         self._target_tid: int | None = None
+        #: The interpreter's switch interval before attach (restored on
+        #: detach).
+        self._switch_interval: float | None = None
 
     # ------------------------------------------------------------------
     # phase stack
@@ -252,24 +261,41 @@ class PhaseProfiler:
         if not events:
             return
         mark = self._mark
-        stack = self._stack
-        paths = self._paths
+        names = self._path_names
+        phase_of = self._path_phase
+        kids = self._path_kids
+        open_ids = self._open
+        spent = [0.0] * len(names)
+        entered = [0] * len(names)
+        cur = open_ids[-1]
+        for tag, t in events:
+            spent[cur] += t - mark
+            if tag is _EXIT:
+                open_ids.pop()
+                cur = open_ids[-1]
+            else:
+                child = kids[cur].get(tag)
+                if child is None:
+                    child = kids[cur][tag] = len(names)
+                    names.append(f"{names[cur]};{tag}" if cur else tag)
+                    phase_of.append(tag)
+                    kids.append({})
+                    spent.append(0.0)
+                    entered.append(0)
+                open_ids.append(child)
+                cur = child
+                entered[cur] += 1
+            mark = t
+        # Fold this drain's per-path totals into the public tables; the
+        # root's share is the unattributed gap time and is dropped.
         self_s = self.self_s
         stacks = self.stacks
         calls = self.calls
-        for tag, t in events:
-            if stack:
-                dt = t - mark
-                self_s[stack[-1]] += dt
-                stacks[paths[-1]] += dt
-            if tag is _EXIT:
-                stack.pop()
-                paths.pop()
-            else:
-                calls[tag] += 1
-                paths.append(paths[-1] + ";" + tag if paths else tag)
-                stack.append(tag)
-            mark = t
+        for pid in range(1, len(names)):
+            phase = phase_of[pid]
+            stacks[names[pid]] += spent[pid]
+            self_s[phase] += spent[pid]
+            calls[phase] += entered[pid]
         events.clear()
         # Skip the wall the drain itself consumed: advancing the mark to
         # "now" leaves it unattributed instead of charging it to the
@@ -329,6 +355,13 @@ class PhaseProfiler:
             self._register_sites(runtime)
             self._target_tid = threading.get_ident()
             self._stop = threading.Event()
+            # The sampler wakes every ``interval`` but must then take the
+            # interpreter lock from the profiled thread, which by default
+            # yields it only every 5 ms: samples would land ~5 ms apart
+            # whatever ``interval`` says.  Shorten the switch interval
+            # while attached so the requested period holds.
+            self._switch_interval = sys.getswitchinterval()
+            sys.setswitchinterval(min(self._switch_interval, self.interval / 10))
             self._sampler = threading.Thread(
                 target=self._sample_loop, name="gmt-prof-sampler", daemon=True
             )
@@ -394,6 +427,7 @@ class PhaseProfiler:
         if self._sampler is not None:
             self._stop.set()
             self._sampler.join()
+            sys.setswitchinterval(self._switch_interval)
             self._sampler = None
             self._stop = None
             self._target_tid = None

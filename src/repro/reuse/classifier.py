@@ -33,6 +33,11 @@ class ReuseClass(enum.Enum):
         return {1: "short-reuse", 2: "medium-reuse", 3: "long-reuse"}[self.value]
 
 
+_SHORT = ReuseClass.SHORT
+_MEDIUM = ReuseClass.MEDIUM
+_LONG = ReuseClass.LONG
+
+
 class RRDClassifier:
     """Maps an RRD (in unique pages) to a :class:`ReuseClass` per Eq. 1."""
 
@@ -51,11 +56,11 @@ class RRDClassifier:
     def classify(self, rrd: float | None) -> ReuseClass:
         """Classify ``rrd``; ``None`` (no predicted reuse) is long-reuse."""
         if rrd is None:
-            return ReuseClass.LONG
+            return _LONG
         if rrd < 0:
             raise ValueError(f"negative RRD: {rrd}")
         if rrd < self.short_bound:
-            return ReuseClass.SHORT
+            return _SHORT
         if rrd < self.medium_bound:
-            return ReuseClass.MEDIUM
-        return ReuseClass.LONG
+            return _MEDIUM
+        return _LONG

@@ -31,12 +31,19 @@ class MarkovTierPredictor:
     Per-page history is stored by the caller (the runtime keeps it in
     ``PageState.policy_state``); this class owns only the weight matrix and
     the decision rules, so it is trivially testable.
+
+    The matrix is integer-indexed lists (row/column ``ReuseClass`` value
+    - 1, read through the member's plain ``_value_`` slot), and each row's
+    winning transition is cached as weights change, so :meth:`predict` —
+    called on every eviction — is a single index.
     """
 
     def __init__(self) -> None:
-        self._weights: dict[ReuseClass, dict[ReuseClass, int]] = {
-            s: {t: 0 for t in _STATES} for s in _STATES
-        }
+        self._weights: list[list[int]] = [[0, 0, 0] for _ in _STATES]
+        #: Per row: the argmax state (None while the row is all zero).
+        self._best: list[ReuseClass | None] = [None, None, None]
+        #: Per row: the sum of its weights.
+        self._totals: list[int] = [0, 0, 0]
         self._updates = 0
 
     @property
@@ -48,12 +55,26 @@ class MarkovTierPredictor:
         """Bump W(prev2 -> prev1), the weight between a page's second-last
         and last correct tiers.  Called when a page returns to Tier-1 and
         its previous eviction's correct tier becomes known."""
-        self._weights[prev2][prev1] += 1
+        src = prev2._value_ - 1
+        dst = prev1._value_ - 1
+        row = self._weights[src]
+        weight = row[dst] + 1
+        row[dst] = weight
+        self._totals[src] += 1
         self._updates += 1
+        # Only W(src -> dst) grew, so the row's winner is the old one or
+        # dst.  Ties go to the nearer tier (the lower index).
+        best = self._best[src]
+        if best is None:
+            self._best[src] = prev1
+        else:
+            b = best._value_ - 1
+            if weight > row[b] or (weight == row[b] and dst < b):
+                self._best[src] = prev1
 
     def weight(self, src: ReuseClass, dst: ReuseClass) -> int:
         """W(src -> dst); exposed for tests and introspection."""
-        return self._weights[src][dst]
+        return self._weights[src._value_ - 1][dst._value_ - 1]
 
     def predict(self, last_correct: ReuseClass | None) -> ReuseClass | None:
         """Predict the next correct tier from a page's last correct tier.
@@ -68,14 +89,7 @@ class MarkovTierPredictor:
         """
         if last_correct is None:
             return None
-        row = self._weights[last_correct]
-        best: ReuseClass | None = None
-        best_weight = 0
-        for state in _STATES:  # iteration order implements the tie-break
-            if row[state] > best_weight:
-                best = state
-                best_weight = row[state]
-        return best
+        return self._best[last_correct._value_ - 1]
 
     def confidence(self, last_correct: ReuseClass | None) -> float:
         """Weight share of the winning transition out of ``last_correct``'s
@@ -84,17 +98,17 @@ class MarkovTierPredictor:
         Exported to the telemetry confidence histogram."""
         if last_correct is None:
             return 0.0
-        row = self._weights[last_correct]
-        total = sum(row.values())
+        src = last_correct._value_ - 1
+        total = self._totals[src]
         if total == 0:
             return 0.0
-        return max(row.values()) / total
+        return max(self._weights[src]) / total
 
     def snapshot(self) -> dict[str, dict[str, int]]:
         """Readable copy of the weight matrix (for reports/debugging)."""
         return {
-            src.name: {dst.name: w for dst, w in row.items()}
-            for src, row in self._weights.items()
+            src.name: {dst.name: w for dst, w in zip(_STATES, row)}
+            for src, row in zip(_STATES, self._weights)
         }
 
 

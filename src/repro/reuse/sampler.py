@@ -70,8 +70,8 @@ class VTDSampler:
         finite RD become training pairs.  After the target is reached this
         becomes a no-op, so the steady-state access path pays nothing.
         """
-        if self.sampling_done:
-            return
+        if self._collected >= self.sample_target:
+            return  # sampling done
         rd = self._rd_tracker.record(page)
         if vtd is None or rd is None:
             return
@@ -107,6 +107,8 @@ class VTDSampler:
         falls back to a default placement strategy, as the paper allows).
         Predictions are clamped at zero: a distance cannot be negative.
         """
-        if self._model is None:
+        model = self._model
+        if model is None:
             return None
-        return max(0.0, self._model.predict(float(rvtd)))
+        rrd = model.predict(float(rvtd))
+        return rrd if rrd > 0.0 else 0.0

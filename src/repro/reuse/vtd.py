@@ -51,13 +51,11 @@ class VirtualTimestampClock:
 
         Also stamps the page with the new time and bumps its access count.
         """
-        now = self.tick()
-        vtd: int | None = None
-        if state.last_access_ts is not None:
-            vtd = now - state.last_access_ts
+        now = self._now = self._now + 1
+        last = state.last_access_ts
         state.last_access_ts = now
         state.access_count += 1
-        return vtd
+        return None if last is None else now - last
 
     def remaining_vtd_since(self, timestamp: int) -> int:
         """Virtual time elapsed since ``timestamp``.

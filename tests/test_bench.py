@@ -203,3 +203,46 @@ class TestCLI:
             ]
         )
         assert rc == 0, capsys.readouterr().out
+
+
+class TestMissParityGate:
+    """``--assert-vector-miss-parity``: the vector engine's miss path must
+    not cost more than the scalar one (a machine-independent ratio)."""
+
+    def fake_cells(self, monkeypatch, scalar_aps, vector_aps):
+        calls = []
+
+        def run_cell(app, kind, scale, seed, engine=None, **_):
+            calls.append(engine)
+            aps = vector_aps if engine == "vector" else scalar_aps
+            return {"engine": engine, "elapsed_ns": 1.0, "wall_s": 1.0,
+                    "accesses_per_sec": aps}
+
+        def run_openloop_cell(scale, seed, spec):
+            return {"engine": "scalar", "elapsed_ns": 1.0, "wall_s": 1.0,
+                    "accesses_per_sec": 1.0}
+
+        monkeypatch.setattr(bench, "DEFAULT_CELLS", ())
+        monkeypatch.setattr(bench, "ZOO_CELLS", ())
+        monkeypatch.setattr(bench, "run_cell", run_cell)
+        monkeypatch.setattr(bench, "run_openloop_cell", run_openloop_cell)
+        return calls
+
+    def test_passes_at_parity(self, monkeypatch, capsys):
+        self.fake_cells(monkeypatch, scalar_aps=100.0, vector_aps=95.0)
+        assert bench.main(["--no-ledger", "--assert-vector-miss-parity", "0.9"]) == 0
+        assert "hotspot/reuse: 0.95x" in capsys.readouterr().out
+
+    def test_fails_below_the_ratio(self, monkeypatch, capsys):
+        self.fake_cells(monkeypatch, scalar_aps=100.0, vector_aps=80.0)
+        assert bench.main(["--no-ledger", "--assert-vector-miss-parity", "0.9"]) == 1
+        assert "FAIL: vector miss-path ratio 0.80x" in capsys.readouterr().out
+
+    def test_ratio_takes_the_best_of_alternating_rounds(self, monkeypatch):
+        calls = self.fake_cells(monkeypatch, scalar_aps=100.0, vector_aps=95.0)
+        doc = {"scale": 4096, "seed": 0, "cells": {
+            "hotspot/reuse@scalar": {"accesses_per_sec": 50.0},
+            "hotspot/reuse@vector": {"accesses_per_sec": 200.0},
+        }}
+        assert bench.engine_best_rates(doc, "hotspot/reuse", rounds=3) == (100.0, 200.0)
+        assert calls == ["scalar", "vector"] * 2

@@ -1,5 +1,5 @@
-"""Regression tests for the three accounting bugs the conformance
-harness flushed out.  Each test fails on the pre-fix code:
+"""Regression tests for accounting bugs in the runtime's bookkeeping.
+Each test fails on the pre-fix code:
 
 1. dirty writebacks (and Tier-2 placements) caused by *prefetch-triggered*
    evictions never reached the queueing time model — the write link's
@@ -9,7 +9,10 @@ harness flushed out.  Each test fails on the pre-fix code:
    so stale values could leak into later consumers;
 3. the sequential prefetcher read past the workload footprint,
    fabricating page-table entries and phantom SSD reads for pages that
-   do not exist.
+   do not exist;
+4. a throttled promotion's PROMOTE lifecycle event reported the plain
+   fetch latency, without the migration governor's stall that the fault
+   was charged.
 """
 
 import pytest
@@ -211,3 +214,43 @@ class TestPrefetchFootprintClamp:
 
         plain = default_config(8192)
         assert _with_footprint_bound(plain, workload) is plain
+
+
+class StalledPromotionRuntime(GMTRuntime):
+    """A runtime whose migration governor charges every promotion a
+    constant stall."""
+
+    STALL_NS = 4096.0
+
+    def _promotion_stall_ns(self, page: int) -> float:
+        return self.STALL_NS
+
+
+class TestPromoteLatencyIncludesStall:
+    """Bug 4: a throttled promotion's PROMOTE event dropped the stall the
+    fault was charged."""
+
+    def drive(self, runtime):
+        # 24 pages cycling through 8 Tier-1 + 16 Tier-2 frames: after the
+        # first lap every miss is a Tier-2 hit, i.e. a promotion.
+        for _ in range(3):
+            for page in range(24):
+                runtime.access(page)
+
+    def test_each_promote_latency_equals_its_charged_fetch(self):
+        stalled = StalledPromotionRuntime(make_config())
+        plain = GMTRuntime(make_config())
+        recorder = stalled.attach_flight_recorder(capacity=None)
+        self.drive(stalled)
+        self.drive(plain)
+        promotes = recorder.events(kind=LifecycleKind.PROMOTE)
+        assert promotes
+        assert stalled.stats.promotions_throttled == len(promotes)
+        # The stall is charged to the faults on top of the plain fetch ...
+        extra = stalled.cost.fault_latency_ns - plain.cost.fault_latency_ns
+        assert extra == pytest.approx(stalled.STALL_NS * len(promotes))
+        # ... and each PROMOTE event reports the whole charged fetch.
+        platform = stalled.config.platform
+        fetch_ns = platform.host_fetch_latency_ns + stalled._t2_move_ns
+        for event in promotes:
+            assert event.latency_ns == fetch_ns + stalled.STALL_NS

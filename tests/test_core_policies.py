@@ -1,12 +1,14 @@
 """Unit tests for the three placement policies."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.core.config import GMTConfig
 from repro.core.placement import PlacementDecision
 from repro.core.policies import (
+    PlacementPlan,
     RandomPolicy,
     ReusePolicy,
     TierOrderPolicy,
@@ -175,3 +177,54 @@ class TestReusePolicyLearning:
             plan = self._train(policy, vts, state, gap=100, rounds=1)
         assert plan.forced_tier2
         assert plan.decision is PlacementDecision.PLACE_TIER2
+
+
+class TestSharedPlans:
+    """``ReusePolicy.choose`` hands out one shared, immutable plan per
+    outcome, each equal to the plan it used to construct per call."""
+
+    def _policy_predicting(self, config, predicted):
+        policy, _, _ = build_reuse(config)
+        policy.predictor.record_transition(ReuseClass.MEDIUM, predicted)
+        state = PageState(page=1)
+        state.policy_state[ReusePolicy._LAST_CORRECT] = ReuseClass.MEDIUM
+        return policy, state
+
+    def test_fallback_plan(self, config):
+        policy, _, _ = build_reuse(config)
+        first = policy.choose(PageState(page=1))
+        assert first == PlacementPlan(
+            decision=PlacementDecision.PLACE_TIER2, from_fallback=True
+        )
+        assert first is policy.choose(PageState(page=2))
+        assert first.predicted_name is None
+
+    @pytest.mark.parametrize("predicted", list(ReuseClass))
+    def test_one_plan_per_predicted_class(self, config, predicted):
+        policy, state = self._policy_predicting(
+            replace(config, tier3_bias_enabled=False), predicted
+        )
+        plan = policy.choose(state)
+        assert plan == PlacementPlan(
+            decision=PlacementDecision.for_class(predicted), predicted_class=predicted
+        )
+        assert plan is policy.choose(state)
+        assert plan.predicted_name == predicted.name.lower()
+
+    def test_heuristic_forced_plan(self, config):
+        policy, state = self._policy_predicting(config, ReuseClass.LONG)
+        for _ in range(config.tier3_bias_window):
+            policy.heuristic.record(ReuseClass.LONG)
+        plan = policy.choose(state)
+        assert plan == PlacementPlan(
+            decision=PlacementDecision.PLACE_TIER2,
+            predicted_class=ReuseClass.LONG,
+            forced_tier2=True,
+        )
+        assert plan is policy.choose(state)
+        assert plan.predicted_name == "long"
+
+    def test_plans_are_shared_across_policy_instances(self, config):
+        a, state_a = self._policy_predicting(config, ReuseClass.SHORT)
+        b, state_b = self._policy_predicting(config, ReuseClass.SHORT)
+        assert a.choose(state_a) is b.choose(state_b)

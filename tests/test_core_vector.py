@@ -307,3 +307,60 @@ class TestFallbacksAndGuards:
                 metamorphic=False,
                 serve=False,
             )
+
+
+# ----------------------------------------------------------------------
+# the page store's columns and the batch probe's residency column
+# ----------------------------------------------------------------------
+class TestPageStoreColumns:
+    def test_views_alias_the_buffers_across_growth(self):
+        store = VectorPageStore(initial=4)
+        store.last_access[2] = 7
+        store.t1_frame_view[3] = 5
+        assert store.last_access_view[2] == 7
+        assert store.t1_frame[3] == 5
+        store.ensure(100)
+        assert store.size >= 100
+        assert store.last_access[2] == 7 and store.t1_frame[3] == 5
+        assert store.last_access_view[99] == -1 and store.t1_frame[99] == -1
+        assert store.access_count[99] == 0 and not store.dirty[99]
+        store.dirty_view[50] = True
+        assert store.dirty[50] == 1
+
+    def test_prefetch_column_only_when_prefetching(self):
+        assert VectorPageStore().prefetched is None
+        store = VectorPageStore(prefetch=True)
+        store.prefetched_view[1] = True
+        assert store.prefetched[1] == 1
+
+    def test_clock_keeps_the_residency_column_exact(self):
+        store = VectorPageStore()
+        clock = VectorClock(2, store)
+        clock.insert(5)
+        clock.insert(9, referenced=False)
+        assert sorted(np.flatnonzero(store.t1_frame_view >= 0).tolist()) == [5, 9]
+        assert clock.select_victim() == 9
+        assert store.t1_frame[9] == -1 and store.t1_frame[5] >= 0
+        clock.remove(5)
+        assert not (store.t1_frame_view >= 0).any()
+
+    def test_state_fields_route_to_columns_or_slots(self):
+        runtime = make_runtime(small_config(), engine="vector")
+        runtime.run(make_trace([((p % N_PAGES,), p % 2 == 0) for p in range(200)]))
+        store = runtime._vstore
+        for state in runtime.page_table:
+            assert state.dirty == bool(store.dirty[state.page])
+            assert state.access_count == store.access_count[state.page]
+            assert state.last_access_ts == store.last_access[state.page]
+            resident = state.page in runtime.tier1
+            assert (store.t1_frame[state.page] >= 0) == resident
+        assert not hasattr(next(iter(runtime.page_table)), "__dict__")
+
+    def test_check_invariants_compares_the_column_with_tier1(self):
+        runtime = make_runtime(small_config(), engine="vector")
+        runtime.run(make_trace([((p % N_PAGES,), False) for p in range(100)]))
+        runtime.check_invariants()
+        page = next(iter(runtime.tier1))
+        runtime._vstore.t1_frame[page] = -1
+        with pytest.raises(SimulationError, match="t1_frame"):
+            runtime.check_invariants()

@@ -3,6 +3,7 @@ cost when disabled, sampled-mode statistics, and the gmt-prof CLI."""
 
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -164,6 +165,18 @@ class TestAttachDetach:
             prof.detach()
         assert runtime._prof is None
         assert prof._sampler is None
+
+    def test_sampled_attach_shortens_the_switch_interval_until_detach(self):
+        # The sampler needs the interpreter lock every ``interval``; with
+        # the default 5 ms switch interval it would sample ~5 ms apart.
+        before = sys.getswitchinterval()
+        prof = PhaseProfiler(interval=0.002)
+        prof.attach(GMTRuntime(make_config()))
+        try:
+            assert sys.getswitchinterval() == pytest.approx(0.002 / 10)
+        finally:
+            prof.detach()
+        assert sys.getswitchinterval() == before
 
     def test_double_attach_rejected_both_sides(self):
         runtime = GMTRuntime(make_config())
