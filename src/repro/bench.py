@@ -114,6 +114,11 @@ OPENLOOP_CELL: dict = {
     "max_backlog": 256,
 }
 
+#: The replay cell ``--assert-serve-throughput`` divides the open-loop
+#: cell's accesses/sec by.  Both cells run the scalar miss path, so
+#: their ratio largely cancels the host's speed.
+SERVE_RATIO_CELL = f"{MISS_PARITY_CELL}@scalar"
+
 #: Deterministic per-cell metrics captured from the replay.  Checked
 #: with the strict tolerance.
 SIM_METRICS = (
@@ -344,6 +349,23 @@ def engine_best_rates(
     return best["scalar"], best["vector"]
 
 
+def serve_best_rates(doc: dict, rounds: int = MISS_PARITY_ROUNDS) -> tuple[float, float]:
+    """Best (open-loop serve, :data:`SERVE_RATIO_CELL`) accesses/sec.
+
+    Like :func:`engine_best_rates`: the recorded cells are the first
+    round, and ``rounds - 1`` more runs alternate the two cells.
+    """
+    spec = next(s for s in ENGINE_CELLS if s["id"] == MISS_PARITY_CELL)
+    serve = doc["cells"][OPENLOOP_CELL["id"]]["accesses_per_sec"]
+    replay = doc["cells"][SERVE_RATIO_CELL]["accesses_per_sec"]
+    for _ in range(rounds - 1):
+        record = run_openloop_cell(doc["scale"], doc["seed"], OPENLOOP_CELL)
+        serve = max(serve, record["accesses_per_sec"])
+        record = run_engine_cell(spec, doc["scale"], doc["seed"], "scalar")
+        replay = max(replay, record["accesses_per_sec"])
+    return serve, replay
+
+
 def compare(
     baseline: dict,
     current: dict,
@@ -505,6 +527,17 @@ def main(argv: list[str] | None = None) -> int:
         "miss path is shared, so the vector engine must not cost more "
         "than it saves; CI smoke: 0.9)",
     )
+    parser.add_argument(
+        "--assert-serve-throughput",
+        type=float,
+        metavar="RATIO",
+        default=None,
+        help=f"exit 1 unless the {OPENLOOP_CELL['id']} cell reaches RATIO x "
+        f"the {SERVE_RATIO_CELL} accesses/sec (best of "
+        f"{MISS_PARITY_ROUNDS} alternating runs each; both run the scalar "
+        "miss path, so the ratio prices the serving plane's own "
+        "bookkeeping; CI smoke: 0.45)",
+    )
     args = parser.parse_args(argv)
 
     if args.trend:
@@ -604,6 +637,21 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"FAIL: vector miss-path ratio {ratio:.2f}x below required "
                 f"{args.assert_vector_miss_parity:g}x"
+            )
+            return 1
+
+    if args.assert_serve_throughput is not None:
+        serve_aps, replay_aps = serve_best_rates(doc)
+        ratio = serve_aps / replay_aps if replay_aps > 0 else 0.0
+        print(
+            f"{OPENLOOP_CELL['id']} vs {SERVE_RATIO_CELL}: {ratio:.2f}x "
+            f"({serve_aps / 1e3:.1f} vs {replay_aps / 1e3:.1f} kacc/s, "
+            f"best of {MISS_PARITY_ROUNDS})"
+        )
+        if ratio < args.assert_serve_throughput:
+            print(
+                f"FAIL: serving throughput ratio {ratio:.2f}x below required "
+                f"{args.assert_serve_throughput:g}x"
             )
             return 1
 

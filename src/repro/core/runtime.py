@@ -357,6 +357,11 @@ class GMTRuntime:
     def access_warp(self, warp: WarpAccess) -> None:
         """Issue one warp memory instruction (coalesced per 64 KB page)."""
         self.stats.warp_instructions += 1
+        pages = warp.pages
+        if len(pages) == 1:
+            # One active lane: nothing to coalesce.
+            self.access(pages[0], warp.write)
+            return
         for page in coalesce(warp):
             self.access(page, write=warp.write)
 

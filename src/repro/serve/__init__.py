@@ -17,8 +17,8 @@ Tier-1/Tier-2/Tier-3 hierarchy — on the simulated-time axis:
   (static caps, or dynamic with idle reclaim) enforced through the
   runtime's victim-selection and admission hooks;
 - :mod:`repro.serve.runtime` — the tenant-aware runtime: per-tenant
-  counter slices (:class:`SplitStats`), quota-steered eviction, and
-  ``tenant=``-labelled telemetry;
+  counter slices charged at tenant switches (:class:`SplitStats`),
+  quota-steered eviction, and ``tenant=``-labelled telemetry;
 - :mod:`repro.serve.server` — the closed-loop front door:
   :class:`TenantServer` replays a mix and reports per-tenant results,
   slowdowns vs solo runs, and Jain-fairness summaries;

@@ -15,8 +15,10 @@ global state):
 - :class:`BurstyArrivals` — a two-state Markov-modulated Poisson process
   (MMPP): a *calm* state at the base rate and a *burst* state at
   ``burst_factor`` times the base rate, with exponentially distributed
-  dwell times.  Mean rate stays close to the base rate while the bursts
-  stress admission control the way real serving traffic does.
+  dwell times.  The long-run rate is the time-weighted mean of the two
+  states' rates, ``rate * (1 + burst_fraction * (burst_factor - 1))``,
+  and the bursts stress admission control the way real serving traffic
+  does.
 
 Timestamps are integer nanoseconds on the same simulated axis the cost
 models use, so arrival gaps compose with modelled service times without
@@ -126,16 +128,19 @@ class BurstyArrivals(ArrivalProcess):
         while True:
             gap = rng.expovariate(1.0) * (burst_gap_ns if bursting else calm_gap_ns)
             # Consume dwell time; cross as many state boundaries as the
-            # gap spans (a long calm gap can straddle a whole burst).
+            # gap spans (a long calm gap can straddle a whole burst).  The
+            # dwell a crossing uses up is real time and stays in the gap.
+            crossed = 0.0
             while gap >= state_left_ns:
                 gap -= state_left_ns
+                crossed += state_left_ns
                 bursting = not bursting
                 mean_dwell = burst_dwell_ns if bursting else calm_dwell_ns
                 state_left_ns = rng.expovariate(1.0) * mean_dwell
                 # Remaining gap rescales to the new state's rate.
                 gap *= burst_gap_ns / calm_gap_ns if bursting else calm_gap_ns / burst_gap_ns
             state_left_ns -= gap
-            yield gap
+            yield crossed + gap
 
 
 def make_arrival_process(

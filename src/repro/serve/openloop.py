@@ -16,7 +16,8 @@ The pieces:
   tenant drawn from the population's zipf popularity weights (seeded,
   deterministic).  A request is a fixed number of warps pulled from the
   tenant's cycling workload stream, so footprint shapes locality while
-  request size stays uniform.
+  request size stays uniform.  Each tenant's stream is generated once,
+  on its first request, and cycled from then on.
 - **admission control** — a TierBPF-flavoured load shedder.  Every
   ``pressure_window`` coalesced accesses the server synthesises a
   counter-delta window and feeds the stream to the
@@ -25,7 +26,7 @@ The pieces:
   ``shed_cooldown_ns``; arrivals during it — and arrivals beyond the
   ``max_backlog`` queue cap — are rejected.  ``requests_shed`` /
   ``requests_admitted`` land in :class:`~repro.core.stats.RuntimeStats`
-  (mirrored into the owning tenant's slice), surface as obs gauges, and
+  (charged to the owning tenant's slice), surface as obs gauges, and
   are held to the ``admission-conservation`` identity:
   ``requests_arrived == requests_admitted + requests_shed``.
 - **epoch-batched drain** — scheduling decisions pick the backlogged
@@ -359,10 +360,13 @@ class OpenLoopServer:
         n = len(self.streams)
         weights = [s.weight for s in self.streams]
 
-        #: Per-tenant cycling warp iterators (restart on exhaustion) —
-        #: requests sample the tenant's access pattern, they do not
-        #: replay the whole dataset each time.
-        iters: list = [iter(s) for s in self.streams]
+        #: Per-tenant warp cycles, each generated on the tenant's first
+        #: request — requests sample the tenant's access pattern, they do
+        #: not replay the whole dataset each time.  An entry pairs a warp
+        #: with its weighted-fair virtual-time cost.
+        cycles: list[list | None] = [None] * n
+        cursors = [0] * n
+        access_warp = runtime.access_warp
 
         queues: list[deque[_Request]] = [deque() for _ in range(n)]
         backlog = 0
@@ -425,18 +429,31 @@ class OpenLoopServer:
             popped_vt, tenant = heapq.heappop(heap)
             clock = max(clock, popped_vt)
             request = queues[tenant][0]
-            served = 0
             runtime.begin_tenant(tenant)
-            while served < loop.epoch and request.remaining:
-                try:
-                    warp = next(iters[tenant])
-                except StopIteration:
-                    iters[tenant] = iter(self.streams[tenant])
-                    warp = next(iters[tenant])
-                runtime.access_warp(warp)
-                vt[tenant] += warp_bytes(warp, page_size) / weights[tenant]
-                request.remaining -= 1
-                served += 1
+            cycle = cycles[tenant]
+            if cycle is None:
+                weight = weights[tenant]
+                cycle = cycles[tenant] = [
+                    (warp, warp_bytes(warp, page_size) / weight)
+                    for warp in self.streams[tenant]
+                ]
+                if not cycle:
+                    raise ConfigError(
+                        f"tenant {self.streams[tenant].name!r} has an empty stream"
+                    )
+            served = min(loop.epoch, request.remaining)
+            request.remaining -= served
+            position = cursors[tenant]
+            tenant_vt = vt[tenant]
+            for _ in range(served):
+                warp, cost = cycle[position]
+                position += 1
+                if position == len(cycle):
+                    position = 0
+                access_warp(warp)
+                tenant_vt += cost
+            cursors[tenant] = position
+            vt[tenant] = tenant_vt
             now = self._elapsed_now() + skew
             if not request.remaining:
                 queues[tenant].popleft()

@@ -167,6 +167,9 @@ class TierQuotas:
                 f"quota shares must name all {self.tenants} tenants "
                 f"(got {len(t1_shares)} tier1, {len(t2_shares)} tier2)"
             )
+        #: Whether any budget is enforced (a plain attribute: the
+        #: eviction hooks read it on every access).
+        self.enabled = config.enabled
         self._t1_static = split_frames(tier1_capacity, t1_shares) if config.enabled else []
         self._t2_static = split_frames(tier2_capacity, t2_shares) if config.enabled else []
         self._tier1_capacity = tier1_capacity
@@ -177,10 +180,6 @@ class TierQuotas:
         self._now = 0
         #: Tenants whose streams have drained — permanent budget donors.
         self._finished: set[int] = set()
-
-    @property
-    def enabled(self) -> bool:
-        return self.config.enabled
 
     @property
     def mode(self) -> str:

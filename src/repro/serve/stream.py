@@ -100,7 +100,9 @@ class TenantStream:
     Re-iterable, like the wrapped :class:`~repro.workloads.trace.Workload`:
     every ``iter()`` regenerates the same namespaced trace, so the same
     stream can be replayed both inside a served mix and solo (for the
-    slowdown baseline).
+    slowdown baseline).  Regeneration is not free — a consumer that
+    needs the trace more than once (the open-loop server cycles each
+    tenant's stream) should iterate once and keep the warps.
     """
 
     def __init__(self, index: int, spec: TenantSpec, workload: Workload) -> None:

@@ -37,7 +37,7 @@ class WarpAccess:
             raise TraceError(
                 f"a warp has at most {WARP_SIZE} lanes, got {len(self.pages)}"
             )
-        if any(p < 0 for p in self.pages):
+        if min(self.pages) < 0:
             raise TraceError(f"negative page id in warp access: {self.pages}")
 
     @property

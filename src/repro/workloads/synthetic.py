@@ -144,13 +144,20 @@ class KeyValueWorkload(Workload):
         rng = np.random.default_rng(self.seed)
         weights = zipf_weights(self.footprint_pages, self.skew)
         page_of_rank = rng.permutation(self.footprint_pages)
-        draws = rng.choice(self.footprint_pages, size=self.lookups, p=weights)
+        looked_up = page_of_rank[
+            rng.choice(self.footprint_pages, size=self.lookups, p=weights)
+        ]
         writes = rng.random(self.lookups) < 0.1  # updates
-        issued = 0
-        for rank, write in zip(draws, writes):
-            yield WarpAccess(pages=(int(page_of_rank[rank]),), write=bool(write))
-            issued += 1
-            if issued % self.compaction_every == 0:
+        # One compaction interval at a time: its lookups become Python
+        # values in one tolist() call, without holding the whole trace.
+        every = self.compaction_every
+        for start in range(0, self.lookups, every):
+            end = start + every
+            for page, write in zip(
+                looked_up[start:end].tolist(), writes[start:end].tolist()
+            ):
+                yield WarpAccess(pages=(page,), write=write)
+            if end <= self.lookups:
                 # Compaction: read-modify-write sweep over the whole store.
                 for page in range(0, self.footprint_pages, 2):
                     pages = tuple(

@@ -246,3 +246,46 @@ class TestMissParityGate:
         }}
         assert bench.engine_best_rates(doc, "hotspot/reuse", rounds=3) == (100.0, 200.0)
         assert calls == ["scalar", "vector"] * 2
+
+
+class TestServeThroughputGate:
+    """``--assert-serve-throughput``: open-loop serving accesses/sec over
+    the scalar miss-path replay (a machine-independent ratio)."""
+
+    def fake_cells(self, monkeypatch, serve_aps, replay_aps):
+        calls = []
+
+        def run_cell(app, kind, scale, seed, engine=None, **_):
+            calls.append(f"{app}/{kind}@{engine}")
+            return {"engine": engine, "elapsed_ns": 1.0, "wall_s": 1.0,
+                    "accesses_per_sec": replay_aps}
+
+        def run_openloop_cell(scale, seed, spec):
+            calls.append(spec["id"])
+            return {"engine": "scalar", "elapsed_ns": 1.0, "wall_s": 1.0,
+                    "accesses_per_sec": serve_aps}
+
+        monkeypatch.setattr(bench, "DEFAULT_CELLS", ())
+        monkeypatch.setattr(bench, "ZOO_CELLS", ())
+        monkeypatch.setattr(bench, "run_cell", run_cell)
+        monkeypatch.setattr(bench, "run_openloop_cell", run_openloop_cell)
+        return calls
+
+    def test_passes_above_the_ratio(self, monkeypatch, capsys):
+        self.fake_cells(monkeypatch, serve_aps=50.0, replay_aps=100.0)
+        assert bench.main(["--no-ledger", "--assert-serve-throughput", "0.45"]) == 0
+        assert "serve/openloop-1k vs hotspot/reuse@scalar: 0.50x" in capsys.readouterr().out
+
+    def test_fails_below_the_ratio(self, monkeypatch, capsys):
+        self.fake_cells(monkeypatch, serve_aps=37.0, replay_aps=100.0)
+        assert bench.main(["--no-ledger", "--assert-serve-throughput", "0.45"]) == 1
+        assert "FAIL: serving throughput ratio 0.37x" in capsys.readouterr().out
+
+    def test_ratio_takes_the_best_of_alternating_runs(self, monkeypatch):
+        calls = self.fake_cells(monkeypatch, serve_aps=40.0, replay_aps=90.0)
+        doc = {"scale": 4096, "seed": 0, "cells": {
+            "serve/openloop-1k": {"accesses_per_sec": 45.0},
+            "hotspot/reuse@scalar": {"accesses_per_sec": 80.0},
+        }}
+        assert bench.serve_best_rates(doc, rounds=3) == (45.0, 90.0)
+        assert calls == ["serve/openloop-1k", "hotspot/reuse@scalar"] * 2

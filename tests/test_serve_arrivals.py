@@ -79,6 +79,29 @@ class TestBursty:
         assert scv(bursty) > scv(poisson)
 
 
+    @pytest.mark.parametrize(
+        "mean_dwell_s, count",
+        [
+            (20e-6, 10_000),  # dwell << gap: every gap crosses many states
+            (0.05, 100_000),  # dwell >> gap: many arrivals per state
+        ],
+    )
+    def test_long_run_rate_is_the_dwell_weighted_mean(self, mean_dwell_s, count):
+        """Time spent in a state a gap crosses stays in the timestamps:
+        the long-run rate is the time-weighted mean of the two rates."""
+        base, factor, fraction = 1000.0, 2.0, 0.5
+        times = BurstyArrivals(
+            base,
+            seed=5,
+            burst_factor=factor,
+            burst_fraction=fraction,
+            mean_dwell_s=mean_dwell_s,
+        ).times(count)
+        rate = count / (times[-1] / 1e9)
+        expected = base * (1.0 - fraction) + base * factor * fraction
+        assert rate == pytest.approx(expected, rel=0.05)
+
+
 class TestFactory:
     def test_registry_names(self):
         assert set(ARRIVAL_PROCESS_NAMES) == {"poisson", "bursty"}
